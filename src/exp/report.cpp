@@ -296,10 +296,18 @@ std::string render_report_markdown(const SweepSummary& r) {
   md += "## Workers\n\n| worker | cells | claims | steals | busy s | elapsed s | util |\n"
         "|---|---:|---:|---:|---:|---:|---:|\n";
   for (const ReportWorker& w : r.workers) {
-    std::snprintf(buf, sizeof(buf), "| %s | %zu | %zu | %zu | %.1f | %.1f | %.0f%% |\n",
-                  w.id.c_str(), w.cells, w.claims, w.steals, w.wall_s, w.elapsed_s,
-                  100.0 * w.utilization);
+    std::snprintf(buf, sizeof(buf), "| %s | %zu | %zu | %zu | %.1f | ", w.id.c_str(),
+                  w.cells, w.claims, w.steals, w.wall_s);
     md += buf;
+    // Without a heartbeat journal the elapsed time (and so the utilization)
+    // is unknown, not zero; the JSON keeps its numeric 0 for the schema.
+    if (w.elapsed_s > 0) {
+      std::snprintf(buf, sizeof(buf), "%.1f | %.0f%% |\n", w.elapsed_s,
+                    100.0 * w.utilization);
+      md += buf;
+    } else {
+      md += "unknown (no metrics journal) | unknown (no metrics journal) |\n";
+    }
   }
 
   md += "\n## Wall-time by phase\n\n| phase | count | total s | mean s |\n"

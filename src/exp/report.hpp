@@ -25,11 +25,11 @@ struct ReportWorker {
   std::size_t claims = 0;  ///< claim lines journaled by this worker
   std::size_t steals = 0;  ///< claims taken over from another live holder
   double wall_s = 0;       ///< Σ journaled cell wall time
-  double elapsed_s = 0;    ///< heartbeat elapsed (0 when no journal matched)
+  double elapsed_s = 0;    ///< heartbeat elapsed (0 = unknown: no journal matched)
   double utilization = 0;  ///< wall_s / elapsed_s (0 when elapsed unknown)
 };
 
-/// One merged profiler phase (prof.* histograms folded across every journal).
+/// One merged wall-time phase (prof.* histograms folded across every journal).
 struct ReportPhase {
   std::string name;
   std::uint64_t count = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/sweep.hpp"
+#include "fault/fault.hpp"
 
 namespace elephant::exp {
 namespace {
@@ -44,6 +45,28 @@ TEST(Config, IdIsStableAndUnique) {
   b = a;
   b.aqm = aqm::AqmKind::kRed;
   EXPECT_NE(a.id(), b.id());
+}
+
+// Literal ids pin the cache keys and manifest ids of existing results: any
+// change to the id format (a dropped or added dimension) must show up here.
+TEST(Config, IdStringsArePinned) {
+  ExperimentConfig cfg;
+  cfg.cca1 = cca::CcaKind::kBbrV1;
+  cfg.cca2 = cca::CcaKind::kCubic;
+  cfg.aqm = aqm::AqmKind::kFifo;
+  cfg.buffer_bdp = 2;
+  cfg.bottleneck_bps = 1e9;
+  EXPECT_EQ(cfg.id(), "bbr1_vs_cubic-fifo-bdp2-1G-f20-d90-a4-r62-s42");
+
+  ExperimentConfig episodes = cfg;
+  episodes.episodes.enabled = true;
+  EXPECT_EQ(episodes.id(), "bbr1_vs_cubic-fifo-bdp2-1G-f20-d90-a4-r62-s42-ep1,0.6,0.8");
+
+  ExperimentConfig faulted = cfg;
+  faulted.fault_plan =
+      fault::FaultPlan::loss_burst(sim::Time::seconds(8), 0.4, sim::Time::seconds(4));
+  EXPECT_EQ(faulted.id(),
+            "bbr1_vs_cubic-fifo-bdp2-1G-f20-d90-a4-r62-s42-faultf66814a20abb8428");
 }
 
 TEST(Config, BwLabels) {

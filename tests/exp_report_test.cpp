@@ -223,6 +223,42 @@ TEST_F(ReportTest, ExplicitJournalListSkipsDiscovery) {
   EXPECT_DOUBLE_EQ(w2->elapsed_s, 0.0);  // no journal read for w2
 }
 
+TEST(ReportNoJournalTest, MarkdownSaysUnknownInsteadOfZero) {
+  // A sweep directory with a manifest but no metrics*.jsonl next to it: the
+  // worker's elapsed time and utilization are unknown, and the markdown must
+  // say so rather than print 0.0 / 0%. The JSON keeps numbers for its schema.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("elephant_report_nojournal_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const fs::path manifest = dir / "manifest.jsonl";
+  {
+    std::ofstream out(manifest);
+    out << SweepManifest::format_line(claim("cellA", "w1")) << "\n";
+    out << SweepManifest::format_line(done("cellA", 2.0)) << "\n";
+  }
+
+  ReportOptions opt;
+  opt.manifest_path = manifest;
+  SweepSummary s;
+  std::string error;
+  ASSERT_TRUE(build_report(opt, &s, &error)) << error;
+  ASSERT_EQ(s.workers.size(), 1u);
+  EXPECT_DOUBLE_EQ(s.workers[0].elapsed_s, 0.0);
+
+  const std::string md = render_report_markdown(s);
+  EXPECT_NE(md.find("| w1 | 1 | 1 | 0 | 2.0 | unknown (no metrics journal) | "
+                    "unknown (no metrics journal) |"),
+            std::string::npos)
+      << md;
+  EXPECT_EQ(md.find("| 0.0 | 0% |"), std::string::npos) << md;
+
+  const std::string json = render_report_json(s);
+  EXPECT_NE(json.find("\"elapsed_s\":0,\"utilization\":0}"), std::string::npos) << json;
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
 TEST(ReportErrorTest, MissingOrEmptyManifestFails) {
   ReportOptions opt;
   opt.manifest_path = "/nonexistent/manifest.jsonl";
