@@ -7,12 +7,15 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 
 #include "aqm/fifo.hpp"
 #include "aqm/fq_codel.hpp"
 #include "aqm/red.hpp"
 #include "cca/congestion_control.hpp"
 #include "exp/runner.hpp"
+#include "net/node.hpp"
+#include "net/port.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scheduler.hpp"
 
@@ -178,6 +181,34 @@ void BM_FifoEnqueueDequeue(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FifoEnqueueDequeue);
+
+// One store-and-forward hop through an idle FIFO port, the dominant event
+// of a 1G FIFO cell: a delay-line fire delivers the packet to a router,
+// which forwards it to an idle port that serializes it at once and files it
+// on its delay line. The port loops back into the same router, so every
+// iteration runs exactly one such hop.
+void BM_IdlePortHop(benchmark::State& state) {
+  sim::Scheduler sched;
+  net::Router router(1, "router");
+  net::Port port(sched, std::make_unique<aqm::FifoQueue>(sched, std::size_t{1} << 20), 10e9,
+                 sim::Time::microseconds(1), "loop");
+  port.connect(&router);
+  net::Packet p = bench_packet(0);
+  p.dst = 2;
+  router.set_route(p.dst, &port);
+  const sim::Time hop = sim::transmission_time(p.size, 10e9) + sim::Time::microseconds(1);
+  port.send(std::move(p));
+  sim::Time t = sim::Time::zero();
+  for (auto _ : state) {
+    t += hop;
+    sched.run_until(t);
+  }
+  if (router.forwarded() != static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("hop count mismatch");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IdlePortHop);
 
 void BM_RedEnqueueDequeue(benchmark::State& state) {
   sim::Scheduler sched;

@@ -4,7 +4,7 @@
 
 namespace elephant::aqm {
 
-bool FifoQueue::enqueue(net::Packet&& p) {
+bool FifoQueue::admit(net::Packet& p) {
   if (bytes_ + p.size > limit_bytes_) {
     ++stats_.dropped_overflow;
     stats_.bytes_dropped += p.size;
@@ -16,8 +16,21 @@ bool FifoQueue::enqueue(net::Packet&& p) {
   stats_.bytes_enqueued += p.size;
   p.enqueue_time = now();
   trace_enqueue(p);
+  return true;
+}
+
+bool FifoQueue::enqueue(net::Packet&& p) {
+  if (!admit(p)) return false;
   queue_.push_back(std::move(p));
   return true;
+}
+
+QueueDisc::CutThrough FifoQueue::cut_through(net::Packet& p) {
+  if (!queue_.empty()) return CutThrough::kDeclined;
+  if (!admit(p)) return CutThrough::kDropped;
+  bytes_ -= p.size;  // dequeued at once, as dequeue() would account it
+  ++stats_.dequeued;
+  return CutThrough::kSend;
 }
 
 std::optional<net::Packet> FifoQueue::dequeue() {

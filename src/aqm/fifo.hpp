@@ -16,6 +16,9 @@ class FifoQueue : public QueueDisc {
 
   bool enqueue(net::Packet&& p) override;
   std::optional<net::Packet> dequeue() override;
+  /// Accepts whenever the queue is empty: an arrival there would be the very
+  /// next packet dequeue() returns.
+  CutThrough cut_through(net::Packet& p) override;
 
   [[nodiscard]] std::size_t byte_length() const override { return bytes_; }
   [[nodiscard]] std::size_t packet_length() const override { return queue_.size(); }
@@ -26,6 +29,10 @@ class FifoQueue : public QueueDisc {
   void load(sim::SnapshotReader& r) override;
 
  private:
+  /// The arrival half of enqueue(): the limit check and the drop or
+  /// enqueue accounting. Returns false when the packet was dropped.
+  bool admit(net::Packet& p);
+
   std::size_t limit_bytes_;
   std::size_t bytes_ = 0;
   sim::RingDeque<net::Packet> queue_;

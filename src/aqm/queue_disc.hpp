@@ -45,6 +45,21 @@ class QueueDisc {
   virtual bool enqueue(net::Packet&& p) = 0;
   virtual std::optional<net::Packet> dequeue() = 0;
 
+  /// What cut_through() did with the packet.
+  enum class CutThrough : std::uint8_t {
+    kDeclined,  ///< untouched: take the enqueue()/dequeue() path
+    kSend,      ///< accounted as enqueued and dequeued: serialize it now
+    kDropped,   ///< dropped and accounted, exactly as enqueue() would
+  };
+
+  /// Idle-link fast path, offered by the port when its link is up and free.
+  /// A discipline that accepts does for the packet exactly what enqueue()
+  /// followed at once by dequeue() would do — counters, enqueue timestamp,
+  /// trace records — without storing it. The default declines, so a
+  /// discipline with arrival- or dequeue-time state (RED, CoDel, FQ-CoDel,
+  /// PIE, the loss decorators) keeps the general path.
+  virtual CutThrough cut_through(net::Packet& /*p*/) { return CutThrough::kDeclined; }
+
   [[nodiscard]] virtual std::size_t byte_length() const = 0;
   [[nodiscard]] virtual std::size_t packet_length() const = 0;
   [[nodiscard]] virtual std::string name() const = 0;

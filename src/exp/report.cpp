@@ -151,6 +151,7 @@ bool build_report(const ReportOptions& opt, SweepSummary* out, std::string* erro
     std::string jerr;
     if (!obs::read_final_snapshot(p, &snap, &jerr)) continue;  // degrade
     obs::merge_into(snap, &merged);
+    ++out->journals_read;
     // Worker match: the snapshot's own tag, else derive from the
     // "metrics-<worker>.jsonl" filename, else the single-process journal.
     std::string wid = snap.worker;
@@ -284,13 +285,21 @@ std::string render_report_markdown(const SweepSummary& r) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "- cells: %zu terminal (%zu completed, %zu failed)\n"
-                "- leases: %zu claims, %zu steals\n"
-                "- cache: %llu hits / %llu misses (%.1f%% hit rate)\n"
-                "- simulated wall time: %.1f s across all workers\n\n",
-                r.cells_total, r.completed, r.failed, r.claims, r.steals,
-                static_cast<unsigned long long>(r.cache_hits),
-                static_cast<unsigned long long>(r.cache_misses),
-                100.0 * r.cache_hit_rate, r.wall_s_total);
+                "- leases: %zu claims, %zu steals\n",
+                r.cells_total, r.completed, r.failed, r.claims, r.steals);
+  md += buf;
+  // The cache counters come only from the metrics journals: with none read
+  // they are unknown, not zero (the JSON keeps its numeric 0 for the schema).
+  if (r.journals_read > 0) {
+    std::snprintf(buf, sizeof(buf), "- cache: %llu hits / %llu misses (%.1f%% hit rate)\n",
+                  static_cast<unsigned long long>(r.cache_hits),
+                  static_cast<unsigned long long>(r.cache_misses), 100.0 * r.cache_hit_rate);
+    md += buf;
+  } else {
+    md += "- cache: unknown (no metrics journal)\n";
+  }
+  std::snprintf(buf, sizeof(buf), "- simulated wall time: %.1f s across all workers\n\n",
+                r.wall_s_total);
   md += buf;
 
   md += "## Workers\n\n| worker | cells | claims | steals | busy s | elapsed s | util |\n"

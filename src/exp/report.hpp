@@ -59,6 +59,7 @@ struct SweepSummary {
   std::size_t failed = 0;       ///< failed + timed out
   std::size_t claims = 0;       ///< total claim lines
   std::size_t steals = 0;       ///< lease takeovers
+  std::size_t journals_read = 0;  ///< metrics journals merged (0 = cache counts unknown)
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   double cache_hit_rate = 0;  ///< hits / (hits + misses), 0 when neither

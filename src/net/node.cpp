@@ -7,13 +7,13 @@
 namespace elephant::net {
 
 void Router::receive(Packet&& p) {
-  auto it = routes_.find(p.dst);
-  if (it == routes_.end()) {
+  Port* out = p.dst < routes_.size() ? routes_[p.dst] : nullptr;
+  if (out == nullptr) {
     ++no_route_drops_;
     return;
   }
   ++forwarded_;
-  it->second->send(std::move(p));
+  out->send(std::move(p));
 }
 
 void Host::transmit(Packet&& p) {

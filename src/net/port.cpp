@@ -41,6 +41,19 @@ void Port::sample_queue_depth() {
 }
 
 void Port::send(Packet&& p) {
+  if (up_ && sched_.now() >= busy_until_) {
+    // Idle link: a discipline that would hand this very packet straight
+    // back from dequeue() accounts for both halves and skips the queue.
+    switch (qdisc_->cut_through(p)) {
+      case aqm::QueueDisc::CutThrough::kSend:
+        launch(std::move(p));
+        return;
+      case aqm::QueueDisc::CutThrough::kDropped:
+        return;
+      case aqm::QueueDisc::CutThrough::kDeclined:
+        break;
+    }
+  }
   qdisc_->enqueue(std::move(p));
   if (sched_.now() >= busy_until_) {
     try_transmit();
@@ -82,7 +95,7 @@ void Port::deliver_in(sim::Time delay, Packet&& p) {
     });
     return;
   }
-  line_.push_back(InFlight{at, std::move(p)});
+  line_.emplace_back(at, std::move(p));
   if (line_.size() == 1) line_timer_.rearm(at);
 }
 
@@ -101,13 +114,15 @@ void Port::deliver_head() {
 void Port::try_transmit() {
   if (!up_ || sched_.now() < busy_until_) return;
   auto next = qdisc_->dequeue();
-  if (!next) return;
+  if (next) launch(std::move(*next));
+}
 
-  const sim::Time tx = sim::transmission_time(next->size, rate_bps_);
+void Port::launch(Packet&& p) {
+  const sim::Time tx = sim::transmission_time(p.size, rate_bps_);
   ++tx_packets_;
-  tx_bytes_ += next->size;
+  tx_bytes_ += p.size;
   if (metrics_ != nullptr && metrics_->sojourn_s != nullptr) [[unlikely]] {
-    metrics_->sojourn_s->record((sched_.now() - next->enqueue_time).sec());
+    metrics_->sojourn_s->record((sched_.now() - p.enqueue_time).sec());
   }
 
   // The link frees at busy_until_; the packet lands after serialization
@@ -164,11 +179,11 @@ void Port::try_transmit() {
       }
       if (dup) {
         ++fault_duplicated_;
-        deliver_in(tx + propagation_ + extra, Packet(*next));
+        deliver_in(tx + propagation_ + extra, Packet(p));
       }
     }
   }
-  deliver_in(tx + propagation_ + extra, std::move(*next));
+  deliver_in(tx + propagation_ + extra, std::move(p));
 }
 
 void Port::save(sim::SnapshotWriter& w) const {

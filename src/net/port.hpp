@@ -107,6 +107,10 @@ class Port {
 
  private:
   void try_transmit();
+  /// Serialize `p` now and put it on the wire: tx accounting, sojourn
+  /// record, next wake, fault perturbation, delay line. Shared by the
+  /// dequeue path and the idle-link cut-through.
+  void launch(Packet&& p);
   void deliver_in(sim::Time delay, Packet&& p);
   void deliver_head();
   void sample_queue_depth();

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cstddef>
+#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -50,16 +52,24 @@ class RingDeque {
     return buf_[(head_ + i) & mask_];
   }
 
-  void push_back(T v) {
-    if (size_ == buf_.size()) grow(size_ + 1);
-    buf_[(head_ + size_) & mask_] = std::move(v);
-    ++size_;
-  }
+  void push_back(const T& v) { emplace_back(v); }
+  void push_back(T&& v) { emplace_back(std::move(v)); }
 
+  /// Construct the new back element directly in its ring slot (no temporary
+  /// copied in), so a packet-sized entry is written once. Arguments must not
+  /// refer into this ring: a grow would leave them dangling.
   template <typename... Args>
   T& emplace_back(Args&&... args) {
-    push_back(T(std::forward<Args>(args)...));
-    return back();
+    if (size_ == buf_.size()) grow(size_ + 1);
+    T* slot = &buf_[(head_ + size_) & mask_];
+    if constexpr (std::is_nothrow_constructible_v<T, Args&&...>) {
+      std::destroy_at(slot);
+      std::construct_at(slot, std::forward<Args>(args)...);
+    } else {
+      *slot = T(std::forward<Args>(args)...);  // a throw leaves the slot intact
+    }
+    ++size_;
+    return *slot;
   }
 
   void pop_front() {

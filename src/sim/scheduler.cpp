@@ -23,15 +23,22 @@ std::uint32_t Scheduler::acquire_slot() {
   slots_.emplace_back();
   const auto slot = static_cast<std::uint32_t>(slots_.size() - 1);
   slots_[slot].gen = 1;  // generation 0 never validates (defeats forged ids)
+  if (slot == callbacks_.size() * kCallbackChunk) {
+    callbacks_.push_back(std::make_unique<CallbackChunk>());
+  }
   return slot;
 }
 
 void Scheduler::release_slot(std::uint32_t slot) {
+  callback(slot) = Callback{};
+  free_slot(slot);
+}
+
+void Scheduler::free_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.state = SlotState::kFree;
   s.heap_pos = kNpos;
   ++s.gen;  // invalidate outstanding EventIds referencing this use
-  s.cb = Callback{};
   free_slots_.push_back(slot);
 }
 
@@ -115,7 +122,7 @@ EventId Scheduler::schedule_at(Time at, Callback cb) {
   s.seq = next_seq_++;
   s.state = SlotState::kOneShot;
   s.weak = false;
-  s.cb = std::move(cb);
+  callback(slot) = std::move(cb);
   heap_insert(slot);
   ++strong_armed_;
   return EventId{(static_cast<std::uint64_t>(s.gen) << 32) | (slot + 1)};
@@ -144,12 +151,18 @@ std::uint32_t Scheduler::timer_create(Callback cb, bool weak) {
   Slot& s = slots_[slot];
   s.state = SlotState::kTimerIdle;
   s.weak = weak;
-  s.cb = std::move(cb);
+  callback(slot) = std::move(cb);
   return slot;
 }
 
 void Scheduler::timer_destroy(std::uint32_t slot) {
   timer_disarm(slot);
+  if (slot == firing_) {
+    // Destroyed from its own callback, which is still executing from the
+    // slot's callback storage: fire_entry() releases the slot on return.
+    firing_destroyed_ = true;
+    return;
+  }
   release_slot(slot);
 }
 
@@ -293,39 +306,41 @@ void Scheduler::fire_entry(std::uint32_t pos) {
     // freely schedule new events (which can recycle this very slot or grow
     // the slot array) while it runs.
     heap_remove(pos);
-    Callback cb = std::move(slots_[slot].cb);
-    release_slot(slot);
+    Callback cb = std::move(callback(slot));  // leaves the stored one empty
+    free_slot(slot);
     cb();
   } else {
     // Timer fire: the slot survives for rearm(). The heap entry is parked in
     // place — nearly every timer in the engine (delay line, serialization
     // wake, pacing, RTO, samplers) re-arms from its own callback, and the
     // parked entry turns that into one in-place re-key instead of a
-    // whole-depth remove plus a whole-depth insert. The callback is moved to
-    // the stack for the call — slots_ may reallocate underneath us — and
-    // moved back afterwards unless the timer was destroyed mid-call.
+    // whole-depth remove plus a whole-depth insert. The callback runs where
+    // it is stored: callback chunks never move, however far the callback
+    // grows the slot array.
     slots_[slot].state = SlotState::kTimerFiring;
-    const std::uint32_t gen = slots_[slot].gen;
-    Callback cb = std::move(slots_[slot].cb);
-    cb();
-    if (slots_[slot].gen == gen) {
-      slots_[slot].cb = std::move(cb);
-      Slot& s = slots_[slot];
-      if (s.state == SlotState::kTimerFiring) {
-        // Not re-armed: the parked entry (possibly displaced by inserts
-        // during the callback — heap_pos tracks it) comes out now.
-        s.state = SlotState::kTimerIdle;
-        heap_remove(s.heap_pos);
-      } else if (s.state == SlotState::kTimerArmed) {
-        // Re-armed during the callback: refresh the parked entry's key from
-        // the slot and restore heap order with a single sift.
-        const std::uint32_t pos = s.heap_pos;
-        heap_[pos].at = s.at;
-        heap_[pos].seq = s.seq;
-        heap_update(pos);
-      }
-      // kTimerIdle: disarmed mid-callback; the entry is already gone.
+    firing_ = slot;
+    callback(slot)();
+    firing_ = kNpos;
+    if (firing_destroyed_) {
+      firing_destroyed_ = false;
+      release_slot(slot);
+      return;
     }
+    Slot& s = slots_[slot];
+    if (s.state == SlotState::kTimerFiring) {
+      // Not re-armed: the parked entry (possibly displaced by inserts
+      // during the callback — heap_pos tracks it) comes out now.
+      s.state = SlotState::kTimerIdle;
+      heap_remove(s.heap_pos);
+    } else if (s.state == SlotState::kTimerArmed) {
+      // Re-armed during the callback: refresh the parked entry's key from
+      // the slot and restore heap order with a single sift.
+      const std::uint32_t pos = s.heap_pos;
+      heap_[pos].at = s.at;
+      heap_[pos].seq = s.seq;
+      heap_update(pos);
+    }
+    // kTimerIdle: disarmed mid-callback; the entry is already gone.
   }
 }
 
@@ -410,19 +425,13 @@ Scheduler::Image Scheduler::save_image() const {
   img.strong_armed = strong_armed_;
   img.heap = heap_;
   img.free_slots = free_slots_;
-  img.slots.reserve(slots_.size());
-  for (const Slot& s : slots_) {
-    assert(s.state != SlotState::kTimerFiring &&
+  img.slots = slots_;
+  img.callbacks.reserve(slots_.size());
+  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+    assert(slots_[i].state != SlotState::kTimerFiring &&
            "snapshots may only be taken between events");
-    Slot c;
-    c.at = s.at;
-    c.seq = s.seq;
-    c.heap_pos = s.heap_pos;
-    c.gen = s.gen;
-    c.state = s.state;
-    c.weak = s.weak;
-    if (s.cb) c.cb = s.cb.clone();
-    img.slots.push_back(std::move(c));
+    const Callback& cb = callback(i);
+    img.callbacks.push_back(cb ? cb.clone() : Callback{});
   }
   return img;
 }
@@ -434,18 +443,18 @@ void Scheduler::restore_image(const Image& img) {
   strong_armed_ = img.strong_armed;
   heap_ = img.heap;
   free_slots_ = img.free_slots;
-  slots_.clear();
-  slots_.reserve(img.slots.size());
-  for (const Slot& s : img.slots) {
-    Slot c;
-    c.at = s.at;
-    c.seq = s.seq;
-    c.heap_pos = s.heap_pos;
-    c.gen = s.gen;
-    c.state = s.state;
-    c.weak = s.weak;
-    if (s.cb) c.cb = s.cb.clone();  // image stays restorable again later
-    slots_.push_back(std::move(c));
+  assert(firing_ == kNpos && "images may only be restored between events");
+  // Slots past the image's end go back to empty storage, as if never used.
+  for (auto i = static_cast<std::uint32_t>(img.slots.size()); i < slots_.size(); ++i) {
+    callback(i) = Callback{};
+  }
+  slots_ = img.slots;
+  while (callbacks_.size() * kCallbackChunk < slots_.size()) {
+    callbacks_.push_back(std::make_unique<CallbackChunk>());
+  }
+  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+    const Callback& cb = img.callbacks[i];
+    callback(i) = cb ? cb.clone() : Callback{};  // image stays restorable again later
   }
   // heap_peak_ is telemetry, not behavior: keep the high-water mark.
 }

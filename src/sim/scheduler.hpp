@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -29,8 +30,12 @@ struct EventId {
 /// Discrete-event scheduler: a time-ordered queue of callbacks, engineered
 /// so the steady-state per-event path never touches the allocator.
 ///
-/// - Callbacks are `InplaceCallback`s stored in stable slots recycled
-///   through a free list; the common `[this]`-sized captures live inline.
+/// - Each slot is split in two. A 32-byte hot record (deadline, sequence,
+///   heap back-pointer, generation, state) sits in a contiguous array that
+///   heap sifts touch. The `InplaceCallback` (the common `[this]`-sized
+///   captures live inline) sits in fixed-size chunks that never move, so a
+///   timer's callback runs where it is stored even while it schedules
+///   events that grow the slot array. Slots recycle through a free list.
 /// - The priority queue is an indexed 4-ary min-heap with back-pointers, so
 ///   cancel() removes its entry directly (no tombstones, no `unordered_set`
 ///   side table, and pending_events() is just the heap size). Each heap
@@ -238,6 +243,8 @@ class Scheduler {
                    ///< single in-place re-key instead of remove + insert
   };
 
+  /// The hot half of a slot; its callback lives at the same index in
+  /// callbacks_.
   struct Slot {
     Time at{};
     std::uint64_t seq = 0;           ///< FIFO tie-break, fresh per (re)arm
@@ -245,8 +252,22 @@ class Scheduler {
     std::uint32_t gen = 0;           ///< bumped on free; validates EventIds
     SlotState state = SlotState::kFree;
     bool weak = false;
-    InplaceCallback cb;
   };
+  static_assert(sizeof(Slot) == 32, "two hot records per cache line");
+
+  /// Callback storage: fixed-size chunks added as the slot array grows and
+  /// never moved or freed, so a callback's address is stable for the
+  /// scheduler's life.
+  static constexpr std::uint32_t kCallbackChunk = 256;
+  struct CallbackChunk {
+    Callback cb[kCallbackChunk];
+  };
+  [[nodiscard]] Callback& callback(std::uint32_t slot) {
+    return callbacks_[slot / kCallbackChunk]->cb[slot % kCallbackChunk];
+  }
+  [[nodiscard]] const Callback& callback(std::uint32_t slot) const {
+    return callbacks_[slot / kCallbackChunk]->cb[slot % kCallbackChunk];
+  }
 
   // --- timer interface (via TimerHandle) ---
   std::uint32_t timer_create(Callback cb, bool weak);
@@ -260,7 +281,10 @@ class Scheduler {
 
   // --- slot management ---
   std::uint32_t acquire_slot();
+  /// Destroy the slot's callback and free the slot.
   void release_slot(std::uint32_t slot);
+  /// Free a slot whose callback is already empty (moved out).
+  void free_slot(std::uint32_t slot);
 
   // --- indexed 4-ary min-heap over (at, seq) ---
 
@@ -298,6 +322,12 @@ class Scheduler {
   const obs::SchedulerMetrics* metrics_ = nullptr;
   ChoiceHook* choice_hook_ = nullptr;
   std::vector<Slot> slots_;
+  std::vector<std::unique_ptr<CallbackChunk>> callbacks_;
+  /// Timer slot whose callback is running (kNpos between fires), and whether
+  /// that callback destroyed its own timer: the slot is then released once
+  /// the callback returns, not while it still executes from its storage.
+  std::uint32_t firing_ = kNpos;
+  bool firing_destroyed_ = false;
   std::vector<HeapEntry> heap_;
   std::vector<std::uint32_t> free_slots_;
   /// (seq, heap position) scratch for the tie choice point; member so the
@@ -305,16 +335,17 @@ class Scheduler {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> tie_scratch_;
 };
 
-/// Deep-copyable image of a Scheduler (see Scheduler::save_image()). Slots
-/// hold cloned callbacks, so the image is independent of the live scheduler
-/// and move-only (callbacks are). Defined out of line because it names the
-/// private Slot/HeapEntry types.
+/// Deep-copyable image of a Scheduler (see Scheduler::save_image()). It
+/// holds cloned callbacks, one per slot, so the image is independent of the
+/// live scheduler and move-only (callbacks are). Defined out of line because
+/// it names the private Slot/HeapEntry types.
 struct Scheduler::Image {
   Time now{};
   std::uint64_t next_seq = 1;
   std::uint64_t executed = 0;
   std::size_t strong_armed = 0;
   std::vector<Slot> slots;
+  std::vector<Callback> callbacks;  ///< parallel to slots; empty when free
   std::vector<HeapEntry> heap;
   std::vector<std::uint32_t> free_slots;
 };

@@ -192,6 +192,7 @@ TEST_F(ReportTest, RendersSchemaTaggedJsonAndMarkdown) {
   EXPECT_NE(json.find("\"episode_cells\":[{\"id\":\"cellB\""), std::string::npos);
 
   const std::string md = render_report_markdown(s);
+  EXPECT_NE(md.find("- cache: 3 hits / 3 misses (50.0% hit rate)\n"), std::string::npos) << md;
   EXPECT_NE(md.find("## Workers"), std::string::npos);
   EXPECT_NE(md.find("| w2 | 2 |"), std::string::npos);
   EXPECT_NE(md.find("loss-burst"), std::string::npos);
@@ -254,6 +255,39 @@ TEST(ReportNoJournalTest, MarkdownSaysUnknownInsteadOfZero) {
 
   const std::string json = render_report_json(s);
   EXPECT_NE(json.find("\"elapsed_s\":0,\"utilization\":0}"), std::string::npos) << json;
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(ReportNoJournalTest, MarkdownCacheLineSaysUnknownWithoutAJournal) {
+  // The cache counters come only from metrics journals: with none found the
+  // markdown says the hit rate is unknown instead of claiming 0 hits.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("elephant_report_nocache_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const fs::path manifest = dir / "manifest.jsonl";
+  {
+    std::ofstream out(manifest);
+    out << SweepManifest::format_line(claim("cellA", "w1")) << "\n";
+    out << SweepManifest::format_line(done("cellA", 2.0)) << "\n";
+  }
+
+  ReportOptions opt;
+  opt.manifest_path = manifest;
+  SweepSummary s;
+  std::string error;
+  ASSERT_TRUE(build_report(opt, &s, &error)) << error;
+  EXPECT_EQ(s.journals_read, 0u);
+
+  const std::string md = render_report_markdown(s);
+  EXPECT_NE(md.find("- cache: unknown (no metrics journal)\n"), std::string::npos) << md;
+  EXPECT_EQ(md.find("0 hits / 0 misses"), std::string::npos) << md;
+
+  const std::string json = render_report_json(s);
+  EXPECT_NE(json.find("\"cache\":{\"hits\":0,\"misses\":0,\"hit_rate\":0}"),
+            std::string::npos)
+      << json;
 
   std::error_code ec;
   fs::remove_all(dir, ec);

@@ -7,7 +7,10 @@
 
 #include "aqm/fifo.hpp"
 #include "net/node.hpp"
+#include "obs/histogram.hpp"
+#include "obs/metrics.hpp"
 #include "test_util.hpp"
+#include "trace/sinks.hpp"
 
 namespace elephant::net {
 namespace {
@@ -116,6 +119,77 @@ TEST(Port, IdleThenBusyRestartsCleanly) {
   EXPECT_EQ(sink.arrivals[1].t, sim::Time::seconds(1.1));
 }
 
+TEST(Port, IdleFifoPortCutsThroughWithEnqueueDequeueAccounting) {
+  sim::Scheduler sched;
+  SinkNode sink(sched, 2);
+  trace::MemorySink records;
+  trace::Tracer tracer(records);
+  obs::LogLinHistogram sojourn;
+  const obs::QueueMetrics metrics{&sojourn};
+  auto port_ptr = make_port(sched, 1e6, sim::Time::milliseconds(10), &sink);
+  Port& port = *port_ptr;
+  port.set_tracer(&tracer);
+  port.set_metrics(&metrics);
+
+  // The link is idle and the queue empty: the packet skips the queue.
+  sched.run_until(sim::Time::milliseconds(5));
+  port.send(make_packet(1, 0, 12500));
+  EXPECT_EQ(port.qdisc().packet_length(), 0u);
+  sched.run();
+  tracer.flush();
+
+  ASSERT_EQ(sink.arrivals.size(), 1u);
+  // 5 ms send + 100 ms serialization + 10 ms propagation.
+  EXPECT_EQ(sink.arrivals[0].t, sim::Time::milliseconds(115));
+  EXPECT_EQ(sink.arrivals[0].p.enqueue_time, sim::Time::milliseconds(5));
+  EXPECT_EQ(port.tx_packets(), 1u);
+
+  // The same accounting as an explicit enqueue() + dequeue() pair.
+  sim::Scheduler ref_sched;
+  aqm::FifoQueue ref(ref_sched, 1 << 24);
+  ASSERT_TRUE(ref.enqueue(make_packet(1, 0, 12500)));
+  ASSERT_TRUE(ref.dequeue().has_value());
+  const aqm::QueueStats& got = port.qdisc().stats();
+  const aqm::QueueStats& want = ref.stats();
+  EXPECT_EQ(got.enqueued, want.enqueued);
+  EXPECT_EQ(got.dequeued, want.dequeued);
+  EXPECT_EQ(got.dropped_overflow, want.dropped_overflow);
+  EXPECT_EQ(got.dropped_early, want.dropped_early);
+  EXPECT_EQ(got.ecn_marked, want.ecn_marked);
+  EXPECT_EQ(got.bytes_enqueued, want.bytes_enqueued);
+  EXPECT_EQ(got.bytes_dropped, want.bytes_dropped);
+  EXPECT_EQ(port.qdisc().byte_length(), 0u);
+
+  ASSERT_EQ(sojourn.count(), 1u);
+  EXPECT_EQ(sojourn.max(), 0.0);
+
+  int enqueue_records = 0;
+  for (const trace::TraceRecord& r : records.records()) {
+    if (r.type != trace::RecordType::kAqmEnqueue) continue;
+    ++enqueue_records;
+    EXPECT_EQ(r.t, sim::Time::milliseconds(5));
+    EXPECT_EQ(r.v0, 12500.0);  // byte length with the packet counted, as enqueue()
+    EXPECT_EQ(r.v1, 0.0);      // packet length before it is stored, as enqueue()
+  }
+  EXPECT_EQ(enqueue_records, 1);
+}
+
+TEST(Port, IdlePortDropsPacketLargerThanTheWholeLimit) {
+  sim::Scheduler sched;
+  SinkNode sink(sched, 2);
+  auto port_ptr = make_port(sched, 1e6, sim::Time::zero(), &sink, /*buf=*/10000);
+  Port& port = *port_ptr;
+  port.send(make_packet(1, 0, 12500));
+  sched.run();
+  EXPECT_TRUE(sink.arrivals.empty());
+  EXPECT_EQ(port.tx_packets(), 0u);
+  const aqm::QueueStats& st = port.qdisc().stats();
+  EXPECT_EQ(st.dropped_overflow, 1u);
+  EXPECT_EQ(st.bytes_dropped, 12500u);
+  EXPECT_EQ(st.enqueued, 0u);
+  EXPECT_EQ(st.dequeued, 0u);
+}
+
 TEST(Router, ForwardsByDestination) {
   sim::Scheduler sched;
   SinkNode a(sched, 10);
@@ -146,6 +220,24 @@ TEST(Router, DropsUnroutable) {
   p.dst = 99;
   router.receive(std::move(p));
   EXPECT_EQ(router.no_route_drops(), 1u);
+}
+
+TEST(Router, DropsDestinationBeyondItsTable) {
+  sim::Scheduler sched;
+  SinkNode a(sched, 10);
+  Router router(3, "r");
+  auto to_a = make_port(sched, 1e9, sim::Time::zero(), &a);
+  router.set_route(10, to_a.get());
+  Packet p = make_packet(1, 0);
+  p.dst = 1000;
+  router.receive(std::move(p));
+  Packet q = make_packet(1, 1);
+  q.dst = 4;  // inside the table, but no route set
+  router.receive(std::move(q));
+  sched.run();
+  EXPECT_EQ(router.no_route_drops(), 2u);
+  EXPECT_EQ(router.forwarded(), 0u);
+  EXPECT_TRUE(a.arrivals.empty());
 }
 
 TEST(Host, DemuxesByFlow) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 namespace elephant::sim {
@@ -295,6 +297,104 @@ TEST(Scheduler, LazyRearmDoesNotFireAtTheOldInstant) {
   EXPECT_EQ(order, (std::vector<int>{0}));
   s.run_until(Time::milliseconds(9));
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+// --- timer callbacks run in place -----------------------------------------
+//
+// A timer's callback executes from its slot's callback storage, which never
+// moves. The captures below hold heap-allocated strings, so ASan reports any
+// callback that is destroyed or relocated while it still runs.
+
+/// Slot index encoded in an EventId (see EventId's layout comment).
+std::uint64_t slot_of(EventId id) { return (id.value & 0xffffffffull) - 1; }
+
+TEST(Scheduler, TimerDestroyedFromItsOwnCallbackIsReleasedAfterItReturns) {
+  Scheduler s;
+  auto timer = std::make_unique<Scheduler::TimerHandle>();
+  EventId during;
+  std::string seen;
+  timer->init(s, [&, tag = std::string(48, 'x')] {
+    timer.reset();  // destroys the handle whose callback is running
+    during = s.schedule_in(Time::milliseconds(1), [] {});
+    seen = tag;  // the capture is still alive
+  });
+  timer->rearm(Time::milliseconds(1));
+  s.run_until(Time::milliseconds(1));
+  EXPECT_EQ(timer, nullptr);
+  EXPECT_EQ(seen, std::string(48, 'x'));
+  // The running timer's slot 0 was not handed out from inside the callback...
+  EXPECT_EQ(slot_of(during), 1u);
+  // ...but was released once the callback returned.
+  const EventId after = s.schedule_in(Time::milliseconds(1), [] {});
+  EXPECT_EQ(slot_of(after), 0u);
+  EXPECT_EQ(s.pending_events(), 2u);
+  s.run();
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
+TEST(Scheduler, TimerCallbackMayGrowSlotStorageWhileItRuns) {
+  Scheduler s;
+  struct State {
+    Scheduler& s;
+    Scheduler::TimerHandle timer;
+    int fires = 0;
+    int shots = 0;
+    std::string seen;
+  } st{s};
+  // One pointer plus a string: the capture sits in the callback's inline
+  // buffer, so a callback storage that moved would move the running lambda.
+  st.timer.init(s, [&st, tag = std::string(48, 'y')] {
+    if (++st.fires == 1) {
+      // Far more one-shots than one callback chunk holds: the slot array
+      // reallocates and new callback chunks are added mid-callback.
+      for (int i = 0; i < 1000; ++i) {
+        st.s.schedule_in(Time::milliseconds(1), [&st] { ++st.shots; });
+      }
+      st.timer.rearm(st.s.now() + Time::milliseconds(2));
+    }
+    st.seen += tag;
+  });
+  st.timer.rearm(Time::milliseconds(1));
+  s.run();
+  EXPECT_EQ(st.fires, 2);
+  EXPECT_EQ(st.shots, 1000);
+  EXPECT_EQ(st.seen, std::string(96, 'y'));
+  EXPECT_EQ(s.now(), Time::milliseconds(3));
+  EXPECT_FALSE(st.timer.armed());
+}
+
+TEST(Scheduler, ImageRoundTripRestoresArmedIdleAndOneShotSlots) {
+  Scheduler s;
+  std::vector<int> order;
+  Scheduler::TimerHandle armed;
+  Scheduler::TimerHandle idle;
+  armed.init(s, [&, tag = std::string(48, 'a')] { order.push_back(1); });
+  idle.init(s, [&, tag = std::string(48, 'i')] { order.push_back(2); });
+  armed.rearm(Time::milliseconds(3));
+  s.schedule_at(Time::milliseconds(2), [&, tag = std::string(48, 'o')] { order.push_back(0); });
+  const std::uint64_t hash = s.state_hash();
+  const Scheduler::Image img = s.save_image();
+
+  // Diverge: fire everything, arm the idle timer, and leave more one-shots
+  // pending than one callback chunk holds.
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  idle.rearm(s.now() + Time::milliseconds(1));
+  for (int i = 0; i < 300; ++i) s.schedule_in(Time::milliseconds(1), [&] { order.push_back(9); });
+
+  for (int round = 0; round < 2; ++round) {  // one image, many restores
+    s.restore_image(img);
+    EXPECT_EQ(s.now(), Time::zero());
+    EXPECT_EQ(s.state_hash(), hash);
+    EXPECT_EQ(s.pending_events(), 2u);
+    EXPECT_TRUE(armed.armed());
+    EXPECT_EQ(armed.deadline(), Time::milliseconds(3));
+    EXPECT_FALSE(idle.armed());
+    order.clear();
+    idle.rearm(Time::milliseconds(4));
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  }
 }
 
 }  // namespace
